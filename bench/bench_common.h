@@ -4,7 +4,8 @@
 // regenerates one table/figure of the paper: it prints the same series the
 // paper plots (per-query runtimes per plan variant plus speedups). Absolute
 // numbers differ from the paper (simulated backends, scaled data); the
-// shapes are what EXPERIMENTS.md tracks.
+// shapes are what matter. End-to-end figures of the program itself are
+// recorded in e2ebench/README.md.
 //
 // Environment knobs:
 //   GOPT_BENCH_SF       scale factor of the generated LDBC graph (default 0.5)

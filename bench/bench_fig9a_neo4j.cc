@@ -1,7 +1,7 @@
 // Fig. 9(a): comprehensive LDBC experiments on the Neo4j-like backend —
 // Neo4j-plan (emulated CypherPlanner: ExpandInto-only CBO, low-order
 // statistics, no type inference / aggregate pushdown) vs. GOpt-plan, both
-// executed on the same sequential runtime.
+// executed on the same single-threaded runtime.
 #include "bench/bench_common.h"
 
 using namespace gopt;

@@ -191,8 +191,8 @@ void BM_ConcurrentRun(benchmark::State& state) {
   // google-benchmark drives the state loop on state.threads() OS threads;
   // near-linear items_per_second scaling (on a machine with >= N cores)
   // demonstrates that Prepare/Execute are re-entrant and the sharded cache
-  // doesn't serialize the hot path. The sequential backend keeps each Run
-  // single-threaded, so the engine layer is the only concurrency in play.
+  // doesn't serialize the hot path. The default exec_threads = 1 keeps
+  // each Run single-threaded, so the engine layer is the only concurrency in play.
   static const auto& g = *SharedGraph().graph;
   static auto glogue = std::make_shared<Glogue>(Glogue::Build(g));
   static GOptEngine* engine = [] {

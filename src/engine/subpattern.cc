@@ -67,6 +67,7 @@ void AppendNode(std::string* out, const PhysOp& op,
   AppendRaw(out, static_cast<int32_t>(op.dir));
   AppendTypeConstraint(out, op.etc_);
   AppendExprs(out, op.edge_preds, params);
+  AppendSized(out, op.edge_var);
   AppendSized(out, op.edge_alias);
   out->push_back(op.target_bound ? 1 : 0);
   AppendRaw(out, static_cast<uint64_t>(op.arms.size()));
@@ -74,7 +75,6 @@ void AppendNode(std::string* out, const PhysOp& op,
     AppendSized(out, arm.from_tag);
     AppendRaw(out, static_cast<int32_t>(arm.dir));
     AppendTypeConstraint(out, arm.etc_);
-    AppendExprs(out, arm.edge_preds, params);
   }
   AppendRaw(out, static_cast<int32_t>(op.min_hops));
   AppendRaw(out, static_cast<int32_t>(op.max_hops));

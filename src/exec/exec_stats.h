@@ -1,12 +1,10 @@
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "src/common/cache_stats.h"
-#include "src/common/cancel.h"
-#include "src/exec/kernels.h"
-#include "src/exec/result.h"
 
 namespace gopt {
 
@@ -36,13 +34,13 @@ struct PipelineStat {
   uint64_t gen_dispatch = 0;  ///< kernel calls served by the generic path
 };
 
-/// Execution statistics shared by every runtime.
+/// Execution statistics shared by both runtimes.
 ///
 /// `rows_produced` counts the rows *emitted by each operator* of the plan,
 /// summed over operators — each operator node exactly once, even when its
 /// output is shared by several parents (DAG plans after ComSubPattern) or
-/// processed morsel-at-a-time. All three runtimes (sequential, morsel,
-/// distributed) count it identically; tests assert parity.
+/// processed morsel-at-a-time. The morsel and distributed runtimes count
+/// it identically; tests assert parity.
 struct ExecStats {
   uint64_t rows_produced = 0;   ///< rows emitted per operator, summed
   /// Physical tuples the morsel runtime actually stored: scan output plus
@@ -87,54 +85,6 @@ struct ExecStats {
   /// (hits / misses / evictions / entries / bytes). All zero when no
   /// result cache is configured.
   CacheStats result_cache;
-};
-
-/// The Neo4j-like backend runtime: a sequential, materialize-per-operator
-/// interpreted executor. Its only vertex-expansion strategy is flattened
-/// per-edge expansion (ExpandInto); plans containing ExpandIntersect are
-/// rejected, mirroring the operator repertoire the paper attributes to
-/// Neo4j (Section 6.3.2).
-///
-/// Thread-confinement: one executor instance belongs to one Execute call
-/// at a time (it carries per-run memo/stats state). GOptEngine constructs
-/// a fresh executor per Execute, which is what makes the engine's Execute
-/// re-entrant; different instances never share mutable state and may run
-/// concurrently over one graph.
-class SingleMachineExecutor {
- public:
-  explicit SingleMachineExecutor(const PropertyGraph* g) : k_(g) {}
-
-  ResultTable Execute(const PhysOpPtr& root);
-
-  const ExecStats& stats() const { return stats_; }
-
-  /// Parameter bindings for $name slots in the plan's expressions; must
-  /// outlive Execute. The engine installs the merged (auto-extracted +
-  /// user-supplied) bindings here before every Execute.
-  void set_params(const ParamMap* params) { k_.set_params(params); }
-
-  /// When false (default), kExpandIntersect plans throw — the backend does
-  /// not implement the operator. Tests may enable it to compare kernels.
-  void set_allow_intersect(bool allow) { allow_intersect_ = allow; }
-
-  /// Enables/disables the kernels' vectorized fast paths (bit-identical
-  /// results either way; see Kernels::set_vectorize).
-  void set_vectorize(bool on) { k_.set_vectorize(on); }
-
-  /// Cooperative cancellation (docs/serving.md): the token is checked
-  /// before every operator node, so a tripped budget or explicit Cancel
-  /// aborts between operators by throwing CancelledError out of Execute.
-  void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
-
- private:
-  using TablePtr = std::shared_ptr<std::vector<Row>>;
-  TablePtr Run(const PhysOpPtr& op);
-
-  Kernels k_;
-  ExecStats stats_;
-  CancelToken cancel_;
-  bool allow_intersect_ = false;
-  std::map<const PhysOp*, TablePtr> memo_;  // DAG-shared results
 };
 
 }  // namespace gopt

@@ -323,7 +323,8 @@ Batch Kernels::ExpandEdgeBatch(const PhysOp& op, const Batch& in,
   ColMap smap = cmap;
   const int epos = static_cast<int>(child_cols.size());
   const int vpos = epos + 1;
-  if (!op.edge_alias.empty()) smap[op.edge_alias] = epos;
+  // Edge predicates read the edge even when it is not an output column.
+  if (!op.edge_var.empty()) smap[op.edge_var] = epos;
   if (!op.target_bound) smap[op.alias] = vpos;
   // Output projection: out_cols -> scratch positions.
   std::vector<int> proj;
@@ -672,7 +673,8 @@ Batch Kernels::PathExpandBatch(const PhysOp& op, const Batch& in,
   const int vpos = static_cast<int>(child_cols.size());
   const int ppos = vpos + 1;
   if (!op.target_bound) smap[op.alias] = vpos;
-  if (!op.path_alias.empty()) smap[op.path_alias] = ppos;
+  // Edge predicates read the path even when it is not an output column.
+  if (!op.edge_var.empty()) smap[op.edge_var] = ppos;
   std::vector<int> proj;
   for (const auto& c : op.out_cols) {
     if (!op.target_bound && c == op.alias) {
@@ -708,6 +710,9 @@ Batch Kernels::PathExpandBatch(const PhysOp& op, const Batch& in,
       }
       scratch[static_cast<size_t>(vpos)] = Value(VertexRef{end});
       scratch[static_cast<size_t>(ppos)] = Value(PathRef{path_v, path_e});
+      for (const auto& p : op.edge_preds) {
+        if (!eval_.EvalBool(p, scratch, smap)) return;
+      }
       for (const auto& p : op.vertex_preds) {
         if (!eval_.EvalBool(p, scratch, smap)) return;
       }
@@ -1503,27 +1508,6 @@ std::vector<Row> Kernels::MergeSortedLimit(
     if (c.pos + 1 < parts[c.part].size()) heap.push({c.part, c.pos + 1});
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Batch wrappers over the blocking kernels
-// ---------------------------------------------------------------------------
-
-Batch Kernels::AggregateBatches(const PhysOp& op,
-                                const std::vector<Batch>& in) const {
-  return Batch::FromRows(Aggregate(op, RowsFromBatches(in)),
-                         op.out_cols.size());
-}
-
-Batch Kernels::SortLimitBatches(const PhysOp& op,
-                                const std::vector<Batch>& in) const {
-  return Batch::FromRows(SortLimit(op, RowsFromBatches(in)),
-                         op.out_cols.size());
-}
-
-Batch Kernels::DedupBatches(const PhysOp& op,
-                            const std::vector<Batch>& in) const {
-  return Batch::FromRows(Dedup(op, RowsFromBatches(in)), op.out_cols.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -190,9 +190,10 @@ LdbcGraph GenerateLdbc(double sf, uint64_t seed) {
       g->AddEdge(v, tags[rng.NextZipf(n_tag, 1.0)], has_interest);
     }
   }
-  // KNOWS: power-law out-degree, community-biased targets, deduplicated.
+  // KNOWS: power-law out-degree, community-biased targets. Draws are not
+  // deduplicated: a repeated (src, dst) pair adds a parallel KNOWS edge,
+  // and homomorphism counts over KNOWS count each parallel edge.
   {
-    std::vector<std::pair<VertexId, VertexId>> seen;
     for (size_t i = 0; i < n_person; ++i) {
       size_t d = rng.NextPowerLaw(60, 2.2) + 1;
       for (size_t k = 0; k < d; ++k) {

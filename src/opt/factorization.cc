@@ -101,10 +101,7 @@ void ChooseFactorization(PipelinePlan* plan, FactorizationMode mode) {
           break;
         case PhysOpKind::kExpandIntersect:
           live.erase(op.alias);
-          for (const auto& arm : op.arms) {
-            live.insert(arm.from_tag);
-            CollectPredTags(arm.edge_preds, &live);
-          }
+          for (const auto& arm : op.arms) live.insert(arm.from_tag);
           CollectPredTags(op.vertex_preds, &live);
           break;
         case PhysOpKind::kSelect:

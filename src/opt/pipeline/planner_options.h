@@ -94,12 +94,11 @@ struct EngineOptions {
   int cbo_pattern_threads = 0;
 
   /// Worker threads of the morsel-driven batch runtime (the execution-side
-  /// counterpart of cbo_pattern_threads). Applies to the single-machine
-  /// backend only (the distributed backend has its own worker model):
-  ///  - 1 (default): the sequential row-at-a-time SingleMachineExecutor —
-  ///    exactly the pre-batch execution path;
-  ///  - >= 2: the morsel-driven MorselExecutor with that many workers;
-  ///  - 0 / negative: MorselExecutor sized to hardware concurrency.
+  /// counterpart of cbo_pattern_threads), the single-machine backend's
+  /// only runtime (the distributed backend has its own worker model):
+  ///  - 1 (default): one worker, run inline on the calling thread;
+  ///  - >= 2: that many workers per pipeline;
+  ///  - 0 / negative: sized to hardware concurrency.
   /// Never changes query results (differential-tested per release), so it
   /// is excluded from OptionsFingerprint like the other non-plan-affecting
   /// knobs.

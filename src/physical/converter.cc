@@ -124,6 +124,7 @@ PhysOpPtr PhysicalConverter::MakeEdgeStep(const Pattern& pat,
   op->vtc = to->tc;
   if (!closing) op->vertex_preds = to->predicates;
   op->target_bound = closing;
+  op->edge_var = e.alias;
   op->out_cols = input->out_cols;
   if (!closing) op->out_cols.push_back(to->alias);
   if (e.IsPath()) {
@@ -164,17 +165,18 @@ PhysOpPtr PhysicalConverter::ConvertPlanRec(const Pattern& full,
         // needs (null trimmed_tags_ means "no trim info: bind all named").
         return trimmed_tags_ == nullptr || trimmed_tags_->count(e.alias) > 0;
       };
-      bool any_path = false, any_bind = false;
+      // ExpandIntersect intersects neighbor-id lists and never looks at
+      // an individual edge, so edges that are bound, paths or predicated
+      // take the sequential per-edge expansion below instead.
+      bool per_edge = false;
       for (int eid : node->added_edges) {
         const PatternEdge& e = full.EdgeById(eid);
-        any_path |= e.IsPath();
-        any_bind |= needs_binding(e);
+        per_edge |= e.IsPath() || needs_binding(e) || !e.predicates.empty();
       }
       bool use_intersect =
           node->expand_spec &&
           node->expand_spec->Impl() == PhysExpandImpl::kExpandIntersect &&
-          node->added_edges.size() > 1 && node->new_vertex >= 0 && !any_path &&
-          !any_bind;
+          node->added_edges.size() > 1 && node->new_vertex >= 0 && !per_edge;
       if (use_intersect) {
         const PatternVertex& nv = full.VertexById(node->new_vertex);
         auto op = std::make_shared<PhysOp>(PhysOpKind::kExpandIntersect);
@@ -194,7 +196,6 @@ PhysOpPtr PhysicalConverter::ConvertPlanRec(const Pattern& full,
             arm.dir = from_src ? Direction::kOut : Direction::kIn;
           }
           arm.etc_ = e.tc;
-          arm.edge_preds = e.predicates;
           op->arms.push_back(std::move(arm));
         }
         op->out_cols = in->out_cols;

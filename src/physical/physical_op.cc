@@ -67,6 +67,18 @@ bool HasVectorizedFastPath(PhysOpKind k) {
   }
 }
 
+namespace {
+
+/// Appends " <label> p1 p2 ..." when `preds` is non-empty.
+void AppendPreds(std::string* s, const char* label,
+                 const std::vector<ExprPtr>& preds) {
+  if (preds.empty()) return;
+  *s += label;
+  for (const auto& p : preds) *s += " " + p->ToString();
+}
+
+}  // namespace
+
 std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string s = pad + PhysOpKindName(kind);
@@ -77,10 +89,7 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
       break;
     case PhysOpKind::kScanVertices:
       s += " " + alias + " (" + vtc.ToString(schema, true) + ")";
-      if (!vertex_preds.empty()) {
-        s += " where";
-        for (const auto& p : vertex_preds) s += " " + p->ToString();
-      }
+      AppendPreds(&s, " where", vertex_preds);
       break;
     case PhysOpKind::kExpandEdge: {
       s += target_bound ? "Into " : " ";
@@ -89,6 +98,8 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
       s += "[" + etc_.ToString(schema, false) + "]";
       s += (dir == Direction::kOut) ? "->" : "-";
       s += alias + " (" + vtc.ToString(schema, true) + ")";
+      AppendPreds(&s, " edge where", edge_preds);
+      AppendPreds(&s, " where", vertex_preds);
       break;
     }
     case PhysOpKind::kExpandIntersect: {
@@ -100,6 +111,7 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
         s += "[" + arms[i].etc_.ToString(schema, false) + "]";
       }
       s += "}";
+      AppendPreds(&s, " where", vertex_preds);
       break;
     }
     case PhysOpKind::kPathExpand:
@@ -107,6 +119,8 @@ std::string PhysOp::ToString(const GraphSchema& schema, int indent) const {
            std::to_string(min_hops) + ".." + std::to_string(max_hops) + "]-" +
            alias;
       if (target_bound) s += " (into)";
+      AppendPreds(&s, " edge where", edge_preds);
+      AppendPreds(&s, " where", vertex_preds);
       break;
     case PhysOpKind::kHashJoin: {
       s += " keys{";

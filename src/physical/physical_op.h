@@ -34,12 +34,12 @@ struct PhysOp;
 using PhysOpPtr = std::shared_ptr<PhysOp>;
 
 /// One arm of an ExpandIntersect: the bound vertex it starts from and the
-/// edge class it traverses.
+/// edge class it traverses. Arms carry no edge predicates: the converter
+/// lowers predicated edges to per-edge expansion instead.
 struct IntersectArm {
   std::string from_tag;
   Direction dir = Direction::kOut;  ///< kOut: follow src->dst from the tag
   TypeConstraint etc_;
-  std::vector<ExprPtr> edge_preds;
 };
 
 /// A physical operator node. Like LogicalOp, a single struct with per-kind
@@ -74,6 +74,10 @@ struct PhysOp {
   Direction dir = Direction::kOut;
   TypeConstraint etc_;
   std::vector<ExprPtr> edge_preds;
+  /// The pattern edge's alias, under which edge_preds read the matched
+  /// edge (kPathExpand: the matched path) — set whether or not it is an
+  /// output column.
+  std::string edge_var;
   std::string edge_alias;   ///< bind the matched edge when non-empty
   bool target_bound = false;  ///< close onto an existing binding
 

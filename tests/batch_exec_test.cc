@@ -1,9 +1,9 @@
 // Differential suite for the morsel-driven batch runtime: every bundled
-// workload query runs through both the sequential row-at-a-time executor
-// and the batch runtime (exec_threads 1 and 4) and must produce the same
-// rows; plus unit coverage for Batch row round-trips, selection-vector
+// workload query runs at exec_threads 1 and 4 and must produce the same
+// rows, and one thread must match the distributed executor's row-kernel
+// path; plus unit coverage for Batch row round-trips, selection-vector
 // edge cases, pipeline decomposition, the work-stealing morsel queue, and
-// ExecStats::rows_produced parity across all runtimes.
+// ExecStats::rows_produced parity across the runtimes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -230,8 +230,8 @@ void ExpectRuntimesAgree(GOptEngine& seq, GOptEngine& par,
   ASSERT_NO_THROW(a = seq.Run(query)) << name << ": " << query;
   ASSERT_NO_THROW(b = par.Run(query)) << name << ": " << query;
   // The morsel runtime reassembles morsel outputs in source order, so
-  // results match the sequential executor exactly — including sort
-  // tie-breaks, which makes SameRows safe even under ORDER/LIMIT.
+  // results match the one-thread run exactly — including sort tie-breaks,
+  // which makes SameRows safe even under ORDER/LIMIT.
   EXPECT_TRUE(a.SameRows(b)) << name << ": seq=" << a.NumRows()
                              << " morsel=" << b.NumRows();
   EXPECT_EQ(a.stats.rows_produced, b.stats.rows_produced)
@@ -250,17 +250,24 @@ TEST_F(BatchExecTest, DifferentialAllWorkloadsFourThreads) {
 }
 
 TEST_F(BatchExecTest, DifferentialMorselSingleThread) {
-  // exec_threads == 1 routes to SingleMachineExecutor; the batch runtime
-  // at one thread must still match it (this is the claim that lets the
-  // engine keep the sequential path until the batch runtime is proven).
+  // The engine's default single-machine path (one inline worker) against
+  // an independent reference: the distributed executor's row-kernel path
+  // with one worker, run on the very same Neo4j-like plans.
   auto seq = MakeEngine(1);
-  for (const auto* set : {&QcQueries(), &QrQueries()}) {
+  for (const auto* set : {&IcQueries(), &BiQueries(), &QrQueries(),
+                          &QtQueries(), &QcQueries()}) {
     for (const auto& wq : *set) {
       auto prep = seq->Prepare(Q(wq.cypher));
       ASSERT_FALSE(prep.invalid) << wq.name;
+      // The Neo4j-like operator repertoire: its PhysicalSpecs never plan
+      // a WCOJ intersection, whatever runtime executes the plan.
+      EXPECT_EQ(prep.physical->ToString(ldbc_->graph->schema())
+                    .find("ExpandIntersect"),
+                std::string::npos)
+          << wq.name;
       ParamMap bound = prep.params;
 
-      SingleMachineExecutor row_ex(ldbc_->graph.get());
+      DistributedExecutor row_ex(ldbc_->graph.get(), 1);
       row_ex.set_params(&bound);
       ResultTable want = row_ex.Execute(prep.physical);
 
@@ -295,9 +302,9 @@ TEST_F(BatchExecTest, DifferentialStPathQuery) {
 
 TEST_F(BatchExecTest, MorselRuntimeRunsExpandIntersectPlans) {
   // Plans lowered for the GraphScope-like backend may contain WCOJ
-  // ExpandIntersect steps. The sequential Neo4j-like executor rejects
-  // them; the morsel runtime implements the full repertoire — compare it
-  // against the distributed executor on those very plans.
+  // ExpandIntersect steps, which the Neo4j-like backend never plans; the
+  // morsel runtime implements the full repertoire — compare it against
+  // the distributed executor on those very plans.
   GOptEngine gs(ldbc_->graph.get(), BackendSpec::GraphScopeLike(4));
   gs.SetGlogue(*glogue_);
   for (const auto& wq : QcQueries()) {
@@ -363,10 +370,13 @@ TEST_F(BatchExecTest, OutcomeCarriesPipelineStats) {
   EXPECT_NE(explain.find("=== Execution ==="), std::string::npos);
   EXPECT_NE(explain.find("morsels"), std::string::npos);
 
-  // The sequential engine reports no pipelines (row runtime).
+  // The default one-thread engine runs the same runtime: it reports its
+  // pipelines too, each run by one worker.
   auto seq = MakeEngine(1);
   ExecOutcome seq_out = seq->Run("MATCH (p:Person) RETURN p");
-  EXPECT_TRUE(seq_out.stats.pipelines.empty());
+  ASSERT_FALSE(seq_out.stats.pipelines.empty());
+  for (const auto& p : seq_out.stats.pipelines) EXPECT_EQ(p.threads, 1);
+  EXPECT_EQ(seq_out.stats.pipelines.back().rows_out, seq_out.NumRows());
 }
 
 TEST_F(BatchExecTest, AutoThreadCountIsHardwareSized) {

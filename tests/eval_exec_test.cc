@@ -185,9 +185,12 @@ TEST(EndToEnd, UnfoldCollectRoundTrip) {
   collect(plan);
   PhysicalConverter conv(&g->schema());
   auto phys = conv.Convert(plan, plans);
-  SingleMachineExecutor ex(g.get());
-  auto r = ex.Execute(phys);
+  // The single-machine runtime against the distributed row-kernel path.
+  MorselExecutor morsel(g.get());
+  auto r = morsel.Execute(phys);
   EXPECT_EQ(r.NumRows(), 3u);  // one row per unfolded element
+  DistributedExecutor dist(g.get(), 1);
+  EXPECT_TRUE(r.SameRows(dist.Execute(phys)));
 }
 
 TEST(EndToEnd, LimitWithoutOrder) {

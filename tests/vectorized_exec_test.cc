@@ -516,8 +516,8 @@ class IntersectKernelTest : public ::testing::Test {
     op->out_cols = {"a", "b", "c"};
     op->alias = "c";
     op->vtc = vtc;
-    op->arms.push_back({"a", d0, etc0, {}});
-    op->arms.push_back({"b", d1, etc1, {}});
+    op->arms.push_back({"a", d0, etc0});
+    op->arms.push_back({"b", d1, etc1});
     return op;
   }
 
